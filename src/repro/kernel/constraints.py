@@ -36,10 +36,11 @@ from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.orders.memo import active_memo
+from repro.orders.program_order import ppo_relation
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.parameters import MutualConsistency, OperationSet
+from repro.spec.parameters import SEMI_CAUSAL, MutualConsistency, OperationSet
 
 __all__ = [
     "CompiledConstraints",
@@ -113,14 +114,23 @@ def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
 
     ``members`` lists universe indices in view-contents order; the result
     is the predecessor masks of the restriction, in local bit positions.
+    Views are a few runs of consecutive universe indices (the owner's
+    range, then remote operations), so each row is gathered a run at a
+    time with one shift and mask instead of bit by bit.
     """
+    runs: list[list[int]] = []  # [universe start, length, local start]
+    for k, g in enumerate(members):
+        if runs and runs[-1][0] + runs[-1][1] == g:
+            runs[-1][1] += 1
+        else:
+            runs.append([g, 1, k])
+    gather = [(g0, (1 << length) - 1, k0) for g0, length, k0 in runs]
     out = []
     for gj in members:
         m = masks[gj]
         local = 0
-        for k, gk in enumerate(members):
-            if (m >> gk) & 1:
-                local |= 1 << k
+        for g0, width, k0 in gather:
+            local |= ((m >> g0) & width) << k0
         out.append(local)
     return out
 
@@ -225,6 +235,7 @@ class HistoryPlane:
         "history",
         "ops",
         "index",
+        "at",
         "n",
         "uni_loc",
         "uni_read",
@@ -248,6 +259,12 @@ class HistoryPlane:
         # operation objects.  Values are unique within a history (proc,
         # index), so the map is bijective either way.
         self.index: dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
+        #: The same map keyed by object identity, for per-candidate chain
+        #: mapping: an ``id`` is an int, so a lookup never runs the
+        #: dataclass ``__hash__``.  The plane holds ``ops`` alive, so a hit
+        #: is always that very operation; a value-equal twin's operations
+        #: miss and fall back to :attr:`index` (:meth:`positions`).
+        self.at: dict[int, int] = {id(op): i for i, op in enumerate(self.ops)}
         self.n = len(self.ops)
         # One classification pass over the universe; every view plane is a
         # slice of these arrays.  Location ids follow sorted location-name
@@ -291,6 +308,15 @@ class HistoryPlane:
         self._candidates: Any = None
         self._unique_rf: Any = _UNSET
         self.masks: dict[Any, Any] = {}
+
+    def positions(self, ops: Iterable[Operation]) -> list[int]:
+        """Universe indices of ``ops``, hashing no ``Operation`` when it can."""
+        at = self.at
+        try:
+            return [at[id(op)] for op in ops]
+        except KeyError:  # operations of a value-equal twin history
+            index = self.index
+            return [index[op] for op in ops]
 
     def views(self, operation_set: OperationSet) -> dict[Any, ViewPlane]:
         """Per-processor view planes for one choice of parameter 1."""
@@ -616,7 +642,9 @@ def extend_plane(
             plane.masks[key] = rows
             continue
         if isinstance(key, tuple):
-            continue  # own-view restrictions are cheap to rebuild on demand
+            # Own-view restrictions and semi-causality's parts are cheap
+            # to rebuild on demand.
+            continue
         row_old = _extended_rule_row(key, old, value, op, src if op.is_read else None)
         if row_old is None:
             continue
@@ -626,10 +654,57 @@ def extend_plane(
     return plane
 
 
+#: ``(base, later, reads)`` of :func:`_semi_causal_parts`.
+SemiCausalParts = tuple[list[int], list[int], list[tuple[str, int, int]]]
+
+
+def _semi_causal_parts(cc: "CompiledConstraints", rf: ReadsFrom) -> SemiCausalParts:
+    """Semi-causality's parts that no coherence candidate changes.
+
+    Returns ``(base, later, reads)``: ``base`` is the pred masks of
+    ``ppo ∪ rwb``; ``later[w]`` is the mask of the writes ``w`` precedes
+    in ppo (its own processor's later writes), zero for non-writes; and
+    ``reads`` lists each attributed read as ``(location, read, source)``
+    with source ``-1`` for an initial-value read.  ``rrb`` is then a
+    function of coherence positions alone.
+    """
+    ppo = ppo_relation(cc.history).pred_masks(cc.ops)
+    writes = 0
+    for iw in cc.hp.write_idx:
+        writes |= 1 << iw
+    later = [0] * cc.n
+    for j in cc.hp.write_idx:
+        m = ppo[j] & writes
+        while m:
+            low = m & -m
+            later[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    base = list(ppo)
+    reads: list[tuple[str, int, int]] = []
+    for r, src in rf.items():
+        ir = cc.index[r]
+        if src is None:
+            reads.append((r.location, ir, -1))
+            continue
+        isrc = cc.index[src]
+        # rwb: the writes ppo-before the source precede the read.
+        base[ir] |= ppo[isrc] & writes
+        reads.append((r.location, ir, isrc))
+    return base, later, reads
+
+
 class AttributionPlane:
     """The reads-from-dependent slice of a compiled constraint set."""
 
-    __slots__ = ("rf", "ordering", "own_ordering", "bracketing", "src_idx", "prop")
+    __slots__ = (
+        "rf",
+        "ordering",
+        "own_ordering",
+        "semi_causal",
+        "bracketing",
+        "src_idx",
+        "prop",
+    )
 
     def __init__(
         self,
@@ -664,6 +739,19 @@ class AttributionPlane:
                     self.own_ordering = cc.restrict_to_own(self.ordering)
                     if cache is not None:
                         cache[key] = self.own_ordering
+        #: Semi-causality's candidate-independent part (see
+        #: :meth:`CompiledConstraints.ordering_masks`).  A tuple key, so
+        #: :func:`extend_plane` and the arena drop it and it is rebuilt
+        #: on demand.
+        self.semi_causal: SemiCausalParts | None = None
+        if spec.ordering is SEMI_CAUSAL:
+            key = (SEMI_CAUSAL, "parts")
+            if cache is not None and key in cache:
+                self.semi_causal = cache[key]
+            else:
+                self.semi_causal = _semi_causal_parts(cc, rf)
+                if cache is not None:
+                    cache[key] = self.semi_causal
         self.bracketing: list[int] | None = None
         if spec.bracketing:
             if cache is not None and "bracketing" in cache:
@@ -788,6 +876,50 @@ class CompiledConstraints:
 
     # -- per-candidate assembly ------------------------------------------------
 
+    def ordering_masks(
+        self,
+        plane: AttributionPlane,
+        coherence: Mapping[str, tuple[Operation, ...]] | None,
+    ) -> list[int] | None:
+        """The ordering's pred masks for one mutual candidate.
+
+        ``None`` when the ordering needs no coherence order (the plane's
+        static :attr:`AttributionPlane.ordering` applies).  For
+        semi-causality ``(ppo ∪ rwb ∪ rrb)+`` only ``rrb`` depends on the
+        candidate: a read precedes every write that is ppo-later than a
+        write coherence-newer than its source.  Those bits go onto the
+        plane's precomputed ``ppo ∪ rwb`` masks, which are then closed
+        with the diagonal cleared — equal to
+        ``sem_relation(...).pred_masks(ops)``, cyclic candidates included.
+        """
+        if not self.needs_coherence:
+            return None
+        if plane.semi_causal is None or coherence is None:
+            rule = self.spec.ordering
+            return rule.build(self.history, plane.rf, coherence).pred_masks(self.ops)
+        base, later, reads = plane.semi_causal
+        # after[w]: the ppo-later writes of every write coherence-newer
+        # than w; newest[loc]: the same for all of loc's writes.
+        after: dict[int, int] = {}
+        newest: dict[str, int] = {}
+        positions = self.hp.positions
+        for loc, chain in coherence.items():
+            acc = 0
+            for iw in reversed(positions(chain)):
+                after[iw] = acc
+                acc |= later[iw]
+            newest[loc] = acc
+        masks = list(base)
+        for loc, ir, isrc in reads:
+            m = newest.get(loc, 0) if isrc < 0 else after.get(isrc, 0)
+            bit = 1 << ir
+            while m:
+                low = m & -m
+                masks[low.bit_length() - 1] |= bit
+                m ^= low
+        closed = close_masks(masks)
+        return [m & ~(1 << i) for i, m in enumerate(closed)]
+
     def _base_masks(
         self,
         plane: AttributionPlane,
@@ -809,8 +941,9 @@ class CompiledConstraints:
         else:
             assert ordering is not None
             masks = list(ordering)
+        positions = self.hp.positions
         for chain in chains:
-            chain_masks(masks, (self.index[op] for op in chain))
+            chain_masks(masks, positions(chain))
         if plane.bracketing is not None:
             for i in range(self.n):
                 masks[i] |= plane.bracketing[i]
@@ -857,7 +990,7 @@ class CompiledConstraints:
             return None
         masks = [0] * self.n
         for chain in extra.chains:
-            chain_masks(masks, (self.index[op] for op in chain))
+            chain_masks(masks, self.hp.positions(chain))
         if extra.relation is not None:
             for i, m in enumerate(extra.relation.pred_masks(self.ops)):
                 masks[i] |= m
@@ -883,9 +1016,10 @@ class CompiledConstraints:
             return plane.prop  # shared, never mutated by the search
         prop = list(plane.prop)
         succ: dict[int, int] = {}
+        positions = self.hp.positions
         for chain in coherence.values():
-            for a, b in zip(chain, chain[1:]):
-                succ[self.index[a]] = self.index[b]
+            ichain = positions(chain)
+            succ.update(zip(ichain, ichain[1:]))
         for ir, isrc in plane.src_idx.items():
             if isrc < 0:
                 continue

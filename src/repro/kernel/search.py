@@ -4,7 +4,9 @@ Every checker in the framework bottoms out here.  Given per-operation
 predecessor bitmasks and read/write payloads, the search constructs a legal
 linear extension — legal as in paper Section 2: every read observes the most
 recent preceding write to its location — by depth-first backtracking over
-``(placed-set, last-write-per-location)`` states with memoized failures.
+``(placed-set, last-write-per-location)`` states with memoized failures;
+locations no pending read observes drop out of the state, and a write that
+would strand a pending read of the value it overwrites is never placed.
 The memory state is carried *incrementally* across backtrack frames (one
 tuple substitution per placement) and, under an unambiguous reads-from
 attribution, the compiled propagation edges of
@@ -33,6 +35,7 @@ All fast paths and all experiments use distinct values.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from typing import Any, Sequence
 
@@ -110,6 +113,40 @@ class SearchBudget:
 # -- the search core ----------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _view_tables(
+    op_loc: tuple[int, ...],
+    read_vals: tuple[int | None, ...],
+    write_vals: tuple[int | None, ...],
+    n_locs: int,
+) -> tuple[tuple[int, ...], tuple[dict[int, tuple[int, int]], ...]]:
+    """The prune tables of one view's payloads, derived once per view.
+
+    ``loc_reads[l]`` is the mask of reads of location ``l``;
+    ``watched[l][v]`` is ``(readers, writers)`` of value ``v`` at ``l``,
+    present only for values some read observes.  Cached on the payload
+    tuples themselves, which the compiled view planes keep alive across
+    candidates and specs, so a repeated view search pays one lookup.
+    """
+    loc_reads = [0] * n_locs
+    readers: list[dict[int, int]] = [{} for _ in range(n_locs)]
+    writers: list[dict[int, int]] = [{} for _ in range(n_locs)]
+    for i, li in enumerate(op_loc):
+        bit = 1 << i
+        rv = read_vals[i]
+        if rv is not None:
+            loc_reads[li] |= bit
+            readers[li][rv] = readers[li].get(rv, 0) | bit
+        wv = write_vals[i]
+        if wv is not None:
+            writers[li][wv] = writers[li].get(wv, 0) | bit
+    watched = tuple(
+        {v: (r, writers[li].get(v, 0)) for v, r in readers[li].items()}
+        for li in range(n_locs)
+    )
+    return tuple(loc_reads), watched
+
+
 def _dfs_find(
     n: int,
     pred: Sequence[int],
@@ -123,13 +160,23 @@ def _dfs_find(
     """One legal extension as local indices, or ``None``.
 
     Deterministic: operations are tried in index order, so given equal
-    inputs the same witness is returned.
+    inputs the same witness is returned.  Two prunes skip subtrees that
+    cannot complete, never changing the order anything is tried in:
+
+    * a location with no unplaced read holds ``None`` in the memory
+      state, so failure memo keys ignore values nothing will observe;
+    * a write that overwrites value ``v`` while an unplaced read of ``v``
+      remains, and no unplaced write of ``v`` could restore it, is not
+      placed — that read could never be placed after it.
     """
+    loc_reads, watched = _view_tables(
+        tuple(op_loc), tuple(read_vals), tuple(write_vals), n_locs
+    )
     full = (1 << n) - 1
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    failed: set[tuple[int, tuple[int | None, ...]]] = set()
     order: list[int] = []
 
-    def dfs(placed: int, values: tuple[int, ...]) -> bool:
+    def dfs(placed: int, values: tuple[int | None, ...]) -> bool:
         if placed == full:
             return True
         key = (placed, values)
@@ -140,22 +187,32 @@ def _dfs_find(
             if placed & bit or (pred[i] & ~placed):
                 continue
             li = op_loc[i]
+            cur = values[li]
             rv = read_vals[i]
-            if rv is not None and values[li] != rv:
+            if rv is not None and cur != rv:
                 continue
+            now = placed | bit
             wv = write_vals[i]
             new_values = values
-            if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
+            # ``None``: no unplaced read of ``li`` remains, so its value
+            # is never observed again and stays out of the memo key.
+            if cur is not None:
+                if rv is not None and not loc_reads[li] & ~now:
+                    new_values = values[:li] + (None,) + values[li + 1:]
+                elif wv is not None and wv != cur:
+                    rw = watched[li].get(cur)
+                    if rw is not None and rw[0] & ~now and not rw[1] & ~now:
+                        continue  # strands an unplaced read of ``cur``
+                    new_values = values[:li] + (wv,) + values[li + 1:]
             order.append(i)
-            if dfs(placed | bit, new_values):
+            if dfs(now, new_values):
                 return True
             order.pop()
         if memoize:
             failed.add(key)
         return False
 
-    if dfs(0, tuple([initial] * n_locs)):
+    if dfs(0, tuple(initial if m else None for m in loc_reads)):
         return order
     return None
 
@@ -176,15 +233,18 @@ def _dfs_find_traced(
     """:func:`_dfs_find` narrating every placement/backtrack to ``sink``.
 
     A separate function rather than a flag so the untraced hot path stays
-    byte-for-byte the pre-instrumentation code — ``bench_obs.py`` holds
-    the disabled overhead under 3%.  Search order, memoization and the
-    returned witness are identical to :func:`_dfs_find`.
+    free of per-node instrumentation — ``bench_obs.py`` holds the
+    disabled overhead under 3%.  Search order, prunes, memoization and
+    the returned witness are identical to :func:`_dfs_find`.
     """
+    loc_reads, watched = _view_tables(
+        tuple(op_loc), tuple(read_vals), tuple(write_vals), n_locs
+    )
     full = (1 << n) - 1
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    failed: set[tuple[int, tuple[int | None, ...]]] = set()
     order: list[int] = []
 
-    def dfs(placed: int, values: tuple[int, ...]) -> bool:
+    def dfs(placed: int, values: tuple[int | None, ...]) -> bool:
         if placed == full:
             return True
         key = (placed, values)
@@ -195,16 +255,24 @@ def _dfs_find_traced(
             if placed & bit or (pred[i] & ~placed):
                 continue
             li = op_loc[i]
+            cur = values[li]
             rv = read_vals[i]
-            if rv is not None and values[li] != rv:
+            if rv is not None and cur != rv:
                 continue
+            now = placed | bit
             wv = write_vals[i]
             new_values = values
-            if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
+            if cur is not None:
+                if rv is not None and not loc_reads[li] & ~now:
+                    new_values = values[:li] + (None,) + values[li + 1:]
+                elif wv is not None and wv != cur:
+                    rw = watched[li].get(cur)
+                    if rw is not None and rw[0] & ~now and not rw[1] & ~now:
+                        continue
+                    new_values = values[:li] + (wv,) + values[li + 1:]
             sink.emit(NodeEntered(proc=proc, depth=len(order), op=render[i]))
             order.append(i)
-            if dfs(placed | bit, new_values):
+            if dfs(now, new_values):
                 return True
             order.pop()
             sink.emit(Backtracked(proc=proc, depth=len(order), op=render[i]))
@@ -212,7 +280,7 @@ def _dfs_find_traced(
             failed.add(key)
         return False
 
-    if dfs(0, tuple([initial] * n_locs)):
+    if dfs(0, tuple(initial if m else None for m in loc_reads)):
         return order
     return None
 
@@ -661,13 +729,7 @@ def _search_candidates(
                     if reuse.needs_probe(cand):
                         # The appended ops entered this candidate's chains,
                         # so the acyclicity gate could now flip; replay it.
-                        ordering = (
-                            spec.ordering.build(
-                                history, rf, cand.coherence
-                            ).pred_masks(cc.ops)
-                            if cc.needs_coherence
-                            else None
-                        )
+                        ordering = cc.ordering_masks(plane, cand.coherence)
                         if not cc.base_acyclic(plane, cand.chains, ordering):
                             reuse.record(cand, "cyclic")
                             continue
@@ -683,13 +745,7 @@ def _search_candidates(
                             f"{budget.max_serializations} candidate serializations"
                         )
                     continue
-                ordering = (
-                    spec.ordering.build(history, rf, cand.coherence).pred_masks(
-                        cc.ops
-                    )
-                    if cc.needs_coherence
-                    else None
-                )
+                ordering = cc.ordering_masks(plane, cand.coherence)
                 prepared = cc.assemble_base(plane, cand.chains, ordering)
                 if prepared is None:
                     reuse.record(cand, "cyclic")
@@ -725,14 +781,7 @@ def _search_candidates(
                 if not chunk:
                     break
                 chunk_size = min(chunk_size * 4, _FRONTIER_RAMP_CAP)
-                orderings = [
-                    spec.ordering.build(history, rf, cand.coherence).pred_masks(
-                        cc.ops
-                    )
-                    if cc.needs_coherence
-                    else None
-                    for cand in chunk
-                ]
+                orderings = [cc.ordering_masks(plane, cand.coherence) for cand in chunk]
                 gated = _gate_chunk(cc, plane, chunk, orderings)
                 for cand, prepared in zip(chunk, gated):
                     n_cand += 1
@@ -939,11 +988,7 @@ def _first_failure(
         for cand in iter_mutual_candidates(
             spec, history, rf, use_reads_from_pruning=budget.use_reads_from_pruning
         ):
-            ordering = (
-                spec.ordering.build(history, rf, cand.coherence).pred_masks(cc.ops)
-                if cc.needs_coherence
-                else None
-            )
+            ordering = cc.ordering_masks(plane, cand.coherence)
             prepared = cc.assemble_base(plane, cand.chains, ordering)
             if prepared is None:
                 return _cyclic_counterexample(spec, history, rf, cand)

@@ -1,5 +1,7 @@
 """Unit tests for the kernel's bitmask primitives (layer 3 helpers)."""
 
+import random
+
 from repro.kernel.constraints import (
     chain_masks,
     close_masks,
@@ -76,3 +78,19 @@ class TestRestrictMasks:
     def test_drops_edges_to_non_members(self):
         masks = [0, 1 << 0, 1 << 1]
         assert restrict_masks(masks, [0, 2]) == [0, 0]
+
+    def test_matches_bit_by_bit_gather(self):
+        # Runs of consecutive members are gathered a run at a time; any
+        # member order must give what a bit-by-bit re-index gives.
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 20)
+            masks = [rng.getrandbits(n) for _ in range(n)]
+            members = rng.sample(range(n), rng.randint(0, n))
+            if rng.random() < 0.5:
+                members.sort()
+            expected = [
+                sum(1 << k for k, gk in enumerate(members) if masks[gj] >> gk & 1)
+                for gj in members
+            ]
+            assert restrict_masks(masks, members) == expected
