@@ -57,8 +57,12 @@ __all__ = [
     "chain_masks",
     "close_masks",
     "insert_bit",
+    "mask_gather",
     "masks_acyclic",
+    "own_restriction",
+    "plane_masks",
     "restrict_masks",
+    "semi_causal_closure",
 ]
 
 
@@ -109,14 +113,12 @@ def masks_acyclic(masks: Sequence[int], n: int) -> bool:
     return not remaining
 
 
-def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
-    """Re-index universe masks onto the sub-universe ``members``.
+def mask_gather(members: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """The run table :func:`restrict_masks` gathers ``members`` with.
 
-    ``members`` lists universe indices in view-contents order; the result
-    is the predecessor masks of the restriction, in local bit positions.
-    Views are a few runs of consecutive universe indices (the owner's
-    range, then remote operations), so each row is gathered a run at a
-    time with one shift and mask instead of bit by bit.
+    One ``(universe start, width mask, local start)`` triple per run of
+    consecutive universe indices in ``members``.  A view's table depends
+    on its members alone, so :class:`ViewPlane` builds it once.
     """
     runs: list[list[int]] = []  # [universe start, length, local start]
     for k, g in enumerate(members):
@@ -124,7 +126,25 @@ def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
             runs[-1][1] += 1
         else:
             runs.append([g, 1, k])
-    gather = [(g0, (1 << length) - 1, k0) for g0, length, k0 in runs]
+    return tuple((g0, (1 << length) - 1, k0) for g0, length, k0 in runs)
+
+
+def restrict_masks(
+    masks: Sequence[int],
+    members: Sequence[int],
+    gather: Sequence[tuple[int, int, int]] | None = None,
+) -> list[int]:
+    """Re-index universe masks onto the sub-universe ``members``.
+
+    ``members`` lists universe indices in view-contents order; the result
+    is the predecessor masks of the restriction, in local bit positions.
+    Views are a few runs of consecutive universe indices (the owner's
+    range, then remote operations), so each row is gathered a run at a
+    time with one shift and mask instead of bit by bit.  ``gather`` is
+    ``mask_gather(members)``, passed in by callers that hold it.
+    """
+    if gather is None:
+        gather = mask_gather(members)
     out = []
     for gj in members:
         m = masks[gj]
@@ -187,7 +207,15 @@ class ViewPlane:
     done once per compilation, not once per view.
     """
 
-    __slots__ = ("proc", "members", "op_loc", "read_vals", "write_vals", "n_locs")
+    __slots__ = (
+        "proc",
+        "members",
+        "gather",
+        "op_loc",
+        "read_vals",
+        "write_vals",
+        "n_locs",
+    )
 
     def __init__(
         self,
@@ -199,6 +227,8 @@ class ViewPlane:
     ) -> None:
         self.proc = proc
         self.members: tuple[int, ...] = tuple(members)
+        #: :func:`restrict_masks`'s run table for :attr:`members`.
+        self.gather = mask_gather(self.members)
         # Local location ids: ranks of the universe location ids present in
         # this view.  Universe ids follow sorted location-name order, so
         # ranking preserves the sorted-name order the search's memory-state
@@ -658,7 +688,7 @@ def extend_plane(
 SemiCausalParts = tuple[list[int], list[int], list[tuple[str, int, int]]]
 
 
-def _semi_causal_parts(cc: "CompiledConstraints", rf: ReadsFrom) -> SemiCausalParts:
+def _semi_causal_parts(hp: HistoryPlane, rf: ReadsFrom) -> SemiCausalParts:
     """Semi-causality's parts that no coherence candidate changes.
 
     Returns ``(base, later, reads)``: ``base`` is the pred masks of
@@ -668,12 +698,12 @@ def _semi_causal_parts(cc: "CompiledConstraints", rf: ReadsFrom) -> SemiCausalPa
     with source ``-1`` for an initial-value read.  ``rrb`` is then a
     function of coherence positions alone.
     """
-    ppo = ppo_relation(cc.history).pred_masks(cc.ops)
+    ppo = ppo_relation(hp.history).pred_masks(hp.ops)
     writes = 0
-    for iw in cc.hp.write_idx:
+    for iw in hp.write_idx:
         writes |= 1 << iw
-    later = [0] * cc.n
-    for j in cc.hp.write_idx:
+    later = [0] * hp.n
+    for j in hp.write_idx:
         m = ppo[j] & writes
         while m:
             low = m & -m
@@ -682,15 +712,126 @@ def _semi_causal_parts(cc: "CompiledConstraints", rf: ReadsFrom) -> SemiCausalPa
     base = list(ppo)
     reads: list[tuple[str, int, int]] = []
     for r, src in rf.items():
-        ir = cc.index[r]
+        ir = hp.index[r]
         if src is None:
             reads.append((r.location, ir, -1))
             continue
-        isrc = cc.index[src]
+        isrc = hp.index[src]
         # rwb: the writes ppo-before the source precede the read.
         base[ir] |= ppo[isrc] & writes
         reads.append((r.location, ir, isrc))
     return base, later, reads
+
+
+def semi_causal_closure(
+    parts: SemiCausalParts, coherence: Iterable[tuple[str, Sequence[int]]]
+) -> list[int]:
+    """``(ppo ∪ rwb ∪ rrb)+`` as closed pred masks for one coherence order.
+
+    ``coherence`` yields each location's write chain as universe indices.
+    Only ``rrb`` depends on it: a read precedes every write that is
+    ppo-later than a write coherence-newer than its source.  Those bits
+    go onto the precomputed ``ppo ∪ rwb`` masks, which are then closed.
+    The diagonal is kept: bit ``i`` of row ``i`` is set exactly when
+    ``sem_relation`` holds the pair ``(i, i)``.
+    """
+    base, later, reads = parts
+    # after[w]: the ppo-later writes of every write coherence-newer
+    # than w; newest[loc]: the same for all of loc's writes.
+    after: dict[int, int] = {}
+    newest: dict[str, int] = {}
+    for loc, chain in coherence:
+        acc = 0
+        for iw in reversed(chain):
+            after[iw] = acc
+            acc |= later[iw]
+        newest[loc] = acc
+    masks = list(base)
+    for loc, ir, isrc in reads:
+        m = newest.get(loc, 0) if isrc < 0 else after.get(isrc, 0)
+        bit = 1 << ir
+        while m:
+            low = m & -m
+            masks[low.bit_length() - 1] |= bit
+            m ^= low
+    return close_masks(masks)
+
+
+def own_restriction(hp: HistoryPlane, ordering: Sequence[int]) -> dict[Any, list[int]]:
+    """Per-processor restriction of ordering masks to own operations.
+
+    Release consistency's reading of parameter 3: the ordering binds a
+    processor's operations only in that processor's *own* view.
+    """
+    out: dict[Any, list[int]] = {}
+    for proc, (start, end) in hp.ranges.items():
+        bits = ((1 << end) - 1) ^ ((1 << start) - 1)
+        restricted = [0] * hp.n
+        for i in range(start, end):
+            restricted[i] = ordering[i] & bits
+        out[proc] = restricted
+    return out
+
+
+def _propagation(hp: HistoryPlane, rf: ReadsFrom) -> tuple[dict[int, int], list[int]]:
+    """``(src_idx, prop)``: each read's source index and the rf-forced edges.
+
+    ``src_idx`` maps a read's universe index to its source write's, or to
+    -1 for an initial-value read.  ``prop`` holds ``src -> read`` and an
+    initial-value read before every write to its location.
+    """
+    src_idx: dict[int, int] = {}
+    prop = [0] * hp.n
+    for r, src in rf.items():
+        ir = hp.index[r]
+        if src is None:
+            src_idx[ir] = -1
+            bit = 1 << ir
+            for iw in hp.writers_by_loc.get(r.location, ()):
+                if iw != ir:
+                    prop[iw] |= bit
+        else:
+            isrc = hp.index[src]
+            src_idx[ir] = isrc
+            if isrc != ir:
+                prop[ir] |= 1 << isrc
+    return src_idx, prop
+
+
+def _build_masks(hp: HistoryPlane, key: Any, rf: ReadsFrom) -> Any:
+    if key == "prop":
+        return _propagation(hp, rf)
+    if key == "bracketing":
+        return bracketing_edges(hp.history, rf).pred_masks(hp.ops)
+    if key == (SEMI_CAUSAL, "parts"):
+        return _semi_causal_parts(hp, rf)
+    if isinstance(key, tuple) and key[1:] == ("own",):
+        return own_restriction(hp, plane_masks(hp, key[0], rf))
+    return key.build(hp.history, rf, None).pred_masks(hp.ops)
+
+
+def plane_masks(hp: HistoryPlane, key: Any, rf: ReadsFrom | None = None) -> Any:
+    """One attribution-derived mask table of ``hp``.
+
+    ``key`` is an ordering rule that needs no coherence order (its pred
+    masks), ``(rule, "own")`` (their per-processor own-view restriction),
+    ``"bracketing"`` (release consistency's bracketing edges), ``"prop"``
+    (:func:`_propagation`) or ``(SEMI_CAUSAL, "parts")``.  With ``rf``
+    omitted the table is the unique attribution's, built once and kept
+    in :attr:`HistoryPlane.masks` for every later spec and layer — the
+    search's attribution planes and the static pre-pass read the same
+    entries.  An explicit ``rf`` (an enumerated attribution) is built
+    fresh and not cached.
+    """
+    if rf is not None:
+        return _build_masks(hp, key, rf)
+    value = hp.masks.get(key)
+    if value is None:
+        unique = hp.unique_rf
+        if unique is None:
+            raise KernelError("plane masks need a unique reads-from attribution")
+        value = hp.masks[key] = _build_masks(hp, key, unique)
+    return value
 
 
 class AttributionPlane:
@@ -714,79 +855,41 @@ class AttributionPlane:
     ) -> None:
         self.rf = rf
         spec = cc.spec
-        history = cc.history
+        hp = cc.hp
         # Under the unique attribution every rf-derived relation is a pure
         # function of the history, so the masks are cached on the shared
         # HistoryPlane across the specs that reuse the same ordering rule.
-        cache = cc.hp.masks if unique else None
+        explicit = None if unique else rf
         #: Static ordering pred masks; ``None`` when the ordering needs a
         #: coherence order and must be built per mutual candidate.
         self.ordering: list[int] | None = None
         self.own_ordering: dict[Any, list[int]] | None = None
         if not spec.ordering.needs_coherence:
             rule = spec.ordering
-            if cache is not None and rule in cache:
-                self.ordering = cache[rule]
-            else:
-                self.ordering = rule.build(history, rf, None).pred_masks(cc.ops)
-                if cache is not None:
-                    cache[rule] = self.ordering
+            self.ordering = plane_masks(hp, rule, explicit)
             if spec.ordering_own_view_only:
-                key = (rule, "own")
-                if cache is not None and key in cache:
-                    self.own_ordering = cache[key]
-                else:
-                    self.own_ordering = cc.restrict_to_own(self.ordering)
-                    if cache is not None:
-                        cache[key] = self.own_ordering
+                self.own_ordering = (
+                    own_restriction(hp, self.ordering)
+                    if explicit is not None
+                    else plane_masks(hp, (rule, "own"))
+                )
         #: Semi-causality's candidate-independent part (see
         #: :meth:`CompiledConstraints.ordering_masks`).  A tuple key, so
         #: :func:`extend_plane` and the arena drop it and it is rebuilt
         #: on demand.
         self.semi_causal: SemiCausalParts | None = None
         if spec.ordering is SEMI_CAUSAL:
-            key = (SEMI_CAUSAL, "parts")
-            if cache is not None and key in cache:
-                self.semi_causal = cache[key]
-            else:
-                self.semi_causal = _semi_causal_parts(cc, rf)
-                if cache is not None:
-                    cache[key] = self.semi_causal
+            self.semi_causal = plane_masks(hp, (SEMI_CAUSAL, "parts"), explicit)
         self.bracketing: list[int] | None = None
         if spec.bracketing:
-            if cache is not None and "bracketing" in cache:
-                self.bracketing = cache["bracketing"]
-            else:
-                self.bracketing = bracketing_edges(history, rf).pred_masks(cc.ops)
-                if cache is not None:
-                    cache["bracketing"] = self.bracketing
-        if cache is not None and "prop" in cache:
-            self.src_idx, self.prop = cache["prop"]
-            return
-        #: Per universe index of a read: index of its source write, or -1
-        #: for an initial-value read.  Non-reads are absent.
-        self.src_idx: dict[int, int] = {}
-        #: Attribution-forced edges used by incremental-legality propagation
-        #: (sound only under the unambiguous attribution — the driver gates):
-        #: ``src -> read``, and an initial-value read before every write to
-        #: its location.
-        prop = [0] * cc.n
-        for r, src in rf.items():
-            ir = cc.index[r]
-            if src is None:
-                self.src_idx[ir] = -1
-                bit = 1 << ir
-                for iw in cc.writers_by_loc.get(r.location, ()):
-                    if iw != ir:
-                        prop[iw] |= bit
-            else:
-                isrc = cc.index[src]
-                self.src_idx[ir] = isrc
-                if isrc != ir:
-                    prop[ir] |= 1 << isrc
-        self.prop = prop
-        if cache is not None:
-            cache["prop"] = (self.src_idx, prop)
+            self.bracketing = plane_masks(hp, "bracketing", explicit)
+        #: ``src_idx``: per universe index of a read, the index of its
+        #: source write, or -1 for an initial-value read.  ``prop``: the
+        #: attribution-forced edges used by incremental-legality
+        #: propagation (sound only under the unambiguous attribution — the
+        #: driver gates): ``src -> read``, and an initial-value read before
+        #: every write to its location.
+        self.src_idx, self.prop = plane_masks(hp, "prop", explicit)
 
 
 class CompiledConstraints:
@@ -805,7 +908,6 @@ class CompiledConstraints:
         "needs_coherence",
         "procs",
         "views",
-        "own_bits",
         "writers_by_loc",
         "_plane_rf",
         "_plane",
@@ -826,10 +928,6 @@ class CompiledConstraints:
         self.procs = history.procs
         self.views = hp.views(spec.operation_set)
         self.writers_by_loc = hp.writers_by_loc
-        self.own_bits: dict[Any, int] = {}
-        if self.own_view_only:
-            for proc, (start, end) in hp.ranges.items():
-                self.own_bits[proc] = ((1 << end) - 1) ^ ((1 << start) - 1)
         self._plane_rf: ReadsFrom | None = None
         self._plane: AttributionPlane | None = None
 
@@ -858,22 +956,6 @@ class CompiledConstraints:
         self._plane = plane
         return plane
 
-    def restrict_to_own(self, ordering: Sequence[int]) -> dict[Any, list[int]]:
-        """Per-processor restriction of ordering masks to own operations.
-
-        Release consistency's reading of parameter 3: the ordering binds a
-        processor's operations only in that processor's *own* view.
-        """
-        out: dict[Any, list[int]] = {}
-        for proc in self.procs:
-            bits = self.own_bits[proc]
-            restricted = [0] * self.n
-            for i in range(self.n):
-                if (bits >> i) & 1:
-                    restricted[i] = ordering[i] & bits
-            out[proc] = restricted
-        return out
-
     # -- per-candidate assembly ------------------------------------------------
 
     def ordering_masks(
@@ -897,27 +979,11 @@ class CompiledConstraints:
         if plane.semi_causal is None or coherence is None:
             rule = self.spec.ordering
             return rule.build(self.history, plane.rf, coherence).pred_masks(self.ops)
-        base, later, reads = plane.semi_causal
-        # after[w]: the ppo-later writes of every write coherence-newer
-        # than w; newest[loc]: the same for all of loc's writes.
-        after: dict[int, int] = {}
-        newest: dict[str, int] = {}
         positions = self.hp.positions
-        for loc, chain in coherence.items():
-            acc = 0
-            for iw in reversed(positions(chain)):
-                after[iw] = acc
-                acc |= later[iw]
-            newest[loc] = acc
-        masks = list(base)
-        for loc, ir, isrc in reads:
-            m = newest.get(loc, 0) if isrc < 0 else after.get(isrc, 0)
-            bit = 1 << ir
-            while m:
-                low = m & -m
-                masks[low.bit_length() - 1] |= bit
-                m ^= low
-        closed = close_masks(masks)
+        closed = semi_causal_closure(
+            plane.semi_causal,
+            [(loc, positions(chain)) for loc, chain in coherence.items()],
+        )
         return [m & ~(1 << i) for i, m in enumerate(closed)]
 
     def _base_masks(
@@ -935,7 +1001,7 @@ class CompiledConstraints:
             own = (
                 plane.own_ordering
                 if plane.own_ordering is not None
-                else self.restrict_to_own(ordering)
+                else own_restriction(self.hp, ordering)
             )
             masks = [0] * self.n
         else:

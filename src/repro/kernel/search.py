@@ -926,7 +926,7 @@ def _solve_views(
                 f"view of {v} operations exceeds the "
                 f"{_MAX_OPS}-operation solver limit"
             )
-        local = restrict_masks(masks, vp.members)
+        local = restrict_masks(masks, vp.members, vp.gather)
         if not masks_acyclic(local, v):
             if sink is not None:
                 sink.emit(ViewStuck(proc=str(proc), reason="constraint-cycle"))
@@ -1066,7 +1066,7 @@ def _stuck_view_counterexample(
             probes.append((proc, cc.views[proc], masks))
     for proc, vp, masks in probes:
         members = vp.members
-        local = restrict_masks(masks, members)
+        local = restrict_masks(masks, members, vp.gather)
         v = len(members)
         stuck = _deepest_stuck_state(
             v, local, vp.op_loc, vp.read_vals, vp.write_vals, vp.n_locs

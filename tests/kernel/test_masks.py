@@ -6,6 +6,7 @@ from repro.kernel.constraints import (
     chain_masks,
     close_masks,
     masks_acyclic,
+    mask_gather,
     restrict_masks,
 )
 
@@ -94,3 +95,16 @@ class TestRestrictMasks:
                 for gj in members
             ]
             assert restrict_masks(masks, members) == expected
+            gather = mask_gather(members)
+            assert restrict_masks(masks, members, gather) == expected
+
+    def test_view_planes_carry_their_gather_table(self):
+        from repro.kernel.constraints import history_plane
+        from repro.litmus import CATALOG
+        from repro.spec.parameters import OperationSet
+
+        plane = history_plane(CATALOG["fig1-sb"].history)
+        for operation_set in OperationSet:
+            for view in plane.views(operation_set).values():
+                assert view.gather == mask_gather(view.members)
+        assert plane.universe_plane.gather == mask_gather(range(plane.n))
