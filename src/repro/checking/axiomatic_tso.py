@@ -22,20 +22,27 @@ store before other processors do.  Hardware TSO permits exactly that
 (``benchmarks/bench_tso_axiomatic.py``) quantifies where the two agree and
 exhibits the divergence; see EXPERIMENTS.md.
 
-The checker enumerates store orders (pruned by forced edges) and places
-each processor's loads greedily, mirroring :mod:`repro.checking.tso` —
-greedy placement is optimal for the same monotonicity reason.
+The checker shares :func:`~repro.kernel.serializations.search_store_order`
+with :mod:`repro.checking.tso`: the store order grows one store at a time
+from the forced edges, each processor's loads perform greedily as soon as
+they can (greedy placement is optimal for the same monotonicity reason),
+and a failure memo cuts repeated states.  This module supplies only the
+read rule: a load sees its latest program-earlier own store to the
+location while that store is uncommitted, and a store program-ordered
+after a load commits after the load performs.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.checking.result import CheckResult
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
-from repro.core.operation import INITIAL_VALUE, Operation, OpKind
-from repro.kernel.serializations import forced_write_order
+from repro.core.operation import Operation, OpKind
+from repro.kernel.serializations import (
+    ReadRule,
+    forced_write_order,
+    search_store_order,
+)
 from repro.orders.writes_before import unambiguous_reads_from
 
 __all__ = ["check_axiomatic_tso", "is_axiomatic_tso"]
@@ -64,69 +71,28 @@ def check_axiomatic_tso(history: SystemHistory) -> CheckResult:
             _MODEL, False, reason="reads-from forces a cyclic store order"
         )
 
-    explored = 0
-    for order in forced.all_topological_sorts():
-        explored += 1
-        if all(_loads_placeable(history, proc, order) for proc in history.procs):
-            return CheckResult(_MODEL, True, explored=explored)
-    return CheckResult(
-        _MODEL,
-        False,
-        reason="no store order satisfies the Value axiom for all loads",
-        explored=explored,
-    )
+    def rule(r: Operation) -> ReadRule:
+        own = history.ops_of(r.proc)
+        earlier = [
+            w for w in own[: r.index] if w.is_write and w.location == r.location
+        ]
+        return ReadRule(
+            forward=earlier[-1] if earlier else None,
+            before=tuple(w for w in own[r.index + 1:] if w.is_write),
+        )
+
+    found = search_store_order(history, forced, rule)
+    if found.order is None:
+        return CheckResult(
+            _MODEL,
+            False,
+            reason="no store order satisfies the Value axiom for all loads",
+            explored=found.explored,
+        )
+    return CheckResult(_MODEL, True, explored=found.explored)
 
 
 def is_axiomatic_tso(history: SystemHistory) -> bool:
     """Convenience boolean form of :func:`check_axiomatic_tso`."""
     return check_axiomatic_tso(history).allowed
 
-
-def _loads_placeable(
-    history: SystemHistory, proc: Any, order: list[Operation]
-) -> bool:
-    """Greedy earliest placement of ``proc``'s loads against a store order.
-
-    Slot ``s`` means the load performs after the first ``s`` stores have
-    committed to memory.  Constraints: slots are nondecreasing in program
-    order (LoadOp); a store program-ordered after a load commits after the
-    load performs; the Value axiom with forwarding decides feasibility.
-    """
-    wpos = {w.uid: i for i, w in enumerate(order)}
-    nstores = len(order)
-    prefix: dict[str, list[int]] = {}
-    for loc in history.locations:
-        vals = [INITIAL_VALUE]
-        for w in order:
-            vals.append(w.value_written if w.location == loc else vals[-1])
-        prefix[loc] = vals
-
-    own_ops = history.ops_of(proc)
-    current_min = 0
-    for r in own_ops:
-        if not r.is_pure_read:
-            continue
-        lo = current_min
-        later_stores = [w for w in own_ops[r.index + 1:] if w.is_write]
-        hi = min((wpos[w.uid] for w in later_stores), default=nstores)
-        if lo > hi:
-            return False
-        own_prior = None
-        for w in own_ops[: r.index]:
-            if w.is_write and w.location == r.location:
-                own_prior = w  # latest program-earlier own store to the location
-        want = r.value_read
-        vals = prefix[r.location]
-        slot = None
-        for s in range(lo, hi + 1):
-            if own_prior is not None and wpos[own_prior.uid] >= s:
-                value_here = own_prior.value_written  # forwarded from the buffer
-            else:
-                value_here = vals[s]
-            if value_here == want:
-                slot = s
-                break
-        if slot is None:
-            return False
-        current_min = slot
-    return True

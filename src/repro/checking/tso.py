@@ -15,9 +15,12 @@ fixed, the views decouple and each processor's reads can be placed
 
 Placing every read at the earliest feasible slot is optimal because all
 constraints relating reads are lower bounds that only grow with later
-placement.  This turns the per-write-order check from exponential to
-O(reads × writes), leaving only the write-order enumeration exponential —
-and that enumeration is pruned by forced reads-from edges.
+placement.  So the write order need not be enumerated whole:
+:func:`~repro.kernel.serializations.search_store_order` grows it one
+write at a time, placing reads as soon as they fit and committing a write
+only once the reads it must follow are placed, with a failure memo on
+(written set, memory, read pointers).  This module supplies only the
+read rule — no forwarding: a read waits for its ppo-earlier own writes.
 
 Falls back to the generic solver for histories with RMW operations or
 duplicated write values, where the greedy argument does not apply.
@@ -30,11 +33,14 @@ from typing import Any
 from repro.checking.result import CheckResult
 from repro.checking.solver import SearchBudget, check_with_spec
 from repro.core.history import SystemHistory
-from repro.core.operation import INITIAL_VALUE, Operation, OpKind
+from repro.core.operation import Operation, OpKind
 from repro.core.view import View
-from repro.kernel.serializations import forced_write_order
+from repro.kernel.serializations import (
+    ReadRule,
+    forced_write_order,
+    search_store_order,
+)
 from repro.orders.program_order import ppo_relation
-from repro.orders.relation import Relation
 from repro.orders.writes_before import unambiguous_reads_from
 from repro.spec.registry import TSO_SPEC
 
@@ -55,91 +61,47 @@ def check_tso(history: SystemHistory, budget: SearchBudget | None = None) -> Che
         )
 
     ppo = ppo_relation(history)
-    explored = 0
-    for order in forced.all_topological_sorts():
-        explored += 1
-        views = _views_for_write_order(history, order, ppo)
-        if views is not None:
-            return CheckResult("TSO", True, views=views, explored=explored)
-    return CheckResult(
-        "TSO",
-        False,
-        reason="no shared write order admits legal per-processor views",
-        explored=explored,
-    )
+    # ppo relates a processor's own operations only; bit i of
+    # pred[proc][j] says its i-th operation ppo-precedes its j-th.
+    pred = {proc: ppo.pred_masks(history.ops_of(proc)) for proc in history.procs}
+
+    def rule(r: Operation) -> ReadRule:
+        own = history.ops_of(r.proc)
+        mask = pred[r.proc][r.index]
+        return ReadRule(
+            after=tuple(
+                w for i, w in enumerate(own[: r.index]) if mask >> i & 1 and w.is_write
+            ),
+            # A read ppo-precedes every program-later operation.
+            before=tuple(w for w in own[r.index + 1:] if w.is_write),
+        )
+
+    found = search_store_order(history, forced, rule)
+    if found.order is None:
+        return CheckResult(
+            "TSO",
+            False,
+            reason="no shared write order admits legal per-processor views",
+            explored=found.explored,
+        )
+    views: dict[Any, View] = {}
+    for proc in history.procs:
+        reads = [op for op in history.ops_of(proc) if op.is_pure_read]
+        slots = found.slots[proc]
+        # Reads at slot s go just before the s-th write of the order.
+        merged: list[Operation] = []
+        ri = 0
+        for s, w in enumerate(found.order):
+            while ri < len(reads) and slots[ri] == s:
+                merged.append(reads[ri])
+                ri += 1
+            merged.append(w)
+        merged.extend(reads[ri:])
+        views[proc] = View(proc, merged, history, validate=False)
+    return CheckResult("TSO", True, views=views, explored=found.explored)
 
 
 def is_tso(history: SystemHistory) -> bool:
     """Convenience boolean form of :func:`check_tso`."""
     return check_tso(history).allowed
 
-
-def _views_for_write_order(
-    history: SystemHistory, order: list[Operation], ppo: Relation[Operation]
-) -> dict[Any, View] | None:
-    """Greedy construction of every processor's view for one write order."""
-    wpos = {w.uid: i for i, w in enumerate(order)}
-    # Value of each location after the first k writes of `order`.
-    nwrites = len(order)
-    views: dict[Any, View] = {}
-    for proc in history.procs:
-        slots = _place_reads(history, proc, order, wpos)
-        if slots is None:
-            return None
-        # Interleave: reads assigned slot s appear just before order[s].
-        merged: list[Operation] = []
-        reads = [op for op in history.ops_of(proc) if op.is_pure_read]
-        ri = 0
-        for s in range(nwrites + 1):
-            while ri < len(reads) and slots[ri] == s:
-                merged.append(reads[ri])
-                ri += 1
-            if s < nwrites:
-                merged.append(order[s])
-        views[proc] = View(proc, merged, history, validate=False)
-    return views
-
-
-def _place_reads(
-    history: SystemHistory,
-    proc: Any,
-    order: list[Operation],
-    wpos: dict[tuple, int],
-) -> list[int] | None:
-    """Earliest-feasible slots for ``proc``'s reads, or ``None``.
-
-    Slot ``s`` means "after the first ``s`` writes of the shared order".
-    """
-    nwrites = len(order)
-    # Per-location prefix values: value_at[loc][s] = value after s writes.
-    value_at: dict[str, list[int]] = {}
-    for loc in history.locations:
-        vals = [INITIAL_VALUE]
-        for w in order:
-            vals.append(w.value_written if w.location == loc else vals[-1])
-        value_at[loc] = vals
-
-    ppo = ppo_relation(history)  # cached upstream in check_tso's caller loop
-    own_ops = history.ops_of(proc)
-    own_writes = [op for op in own_ops if op.is_write]
-    reads = [op for op in own_ops if op.is_pure_read]
-    slots: list[int] = []
-    current_min = 0
-    for r in reads:
-        lo = current_min
-        hi = nwrites
-        for w in own_writes:
-            if ppo.orders(w, r):
-                lo = max(lo, wpos[w.uid] + 1)
-            elif ppo.orders(r, w):
-                hi = min(hi, wpos[w.uid])
-        if lo > hi:
-            return None
-        vals = value_at[r.location]
-        want = r.value_read
-        slot = next((s for s in range(lo, hi + 1) if vals[s] == want), None)
-        if slot is None:
-            return None
-        slots.append(slot)
-        current_min = slot
-    return slots

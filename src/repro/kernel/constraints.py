@@ -36,11 +36,15 @@ from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.orders.memo import active_memo
-from repro.orders.program_order import ppo_relation
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.parameters import SEMI_CAUSAL, MutualConsistency, OperationSet
+from repro.spec.parameters import (
+    PPO,
+    SEMI_CAUSAL,
+    MutualConsistency,
+    OperationSet,
+)
 
 __all__ = [
     "CompiledConstraints",
@@ -698,7 +702,7 @@ def _semi_causal_parts(hp: HistoryPlane, rf: ReadsFrom) -> SemiCausalParts:
     with source ``-1`` for an initial-value read.  ``rrb`` is then a
     function of coherence positions alone.
     """
-    ppo = ppo_relation(hp.history).pred_masks(hp.ops)
+    ppo = plane_masks(hp, PPO)
     writes = 0
     for iw in hp.write_idx:
         writes |= 1 << iw
@@ -821,16 +825,17 @@ def plane_masks(hp: HistoryPlane, key: Any, rf: ReadsFrom | None = None) -> Any:
     in :attr:`HistoryPlane.masks` for every later spec and layer — the
     search's attribution planes and the static pre-pass read the same
     entries.  An explicit ``rf`` (an enumerated attribution) is built
-    fresh and not cached.
+    fresh and not cached — except for ``ppo``, which does not read the
+    attribution and is cached whatever it is.
     """
-    if rf is not None:
+    if rf is not None and key is not PPO:
         return _build_masks(hp, key, rf)
     value = hp.masks.get(key)
     if value is None:
         unique = hp.unique_rf
-        if unique is None:
+        if unique is None and key is not PPO:
             raise KernelError("plane masks need a unique reads-from attribution")
-        value = hp.masks[key] = _build_masks(hp, key, unique)
+        value = hp.masks[key] = _build_masks(hp, key, unique or {})
     return value
 
 

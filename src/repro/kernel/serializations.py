@@ -10,18 +10,20 @@ serializations of the labeled subsequence its discipline admits.
 The enumeration is shared by the generic kernel driver and the fast
 checkers (TSO's and axiomatic TSO's write-order search both start from
 :func:`forced_write_order`), so the pruning soundness argument lives here
-exactly once.
+exactly once.  Those two checkers also share :func:`search_store_order`,
+which grows the agreed store order one store at a time instead of
+enumerating its linear extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
-from repro.core.operation import Operation
+from repro.core.operation import INITIAL_VALUE, Operation
 from repro.orders.coherence import (
     CoherenceOrder,
     enumerate_coherence_orders,
@@ -42,6 +44,9 @@ __all__ = [
     "LabeledExtra",
     "forced_write_order",
     "forced_block_orders",
+    "ReadRule",
+    "StoreOrder",
+    "search_store_order",
     "iter_mutual_candidates",
     "iter_labeled_extras",
 ]
@@ -96,6 +101,143 @@ def forced_write_order(
             for a, b in forced_coherence_pairs(history, loc, reads_from).pairs():
                 forced.add(a, b)
     return forced
+
+
+@dataclass(frozen=True)
+class ReadRule:
+    """How one pure read meets the shared store order.
+
+    ``after``: stores that must have committed before the read performs.
+    ``forward``: an own store whose value the read sees while that store
+    is still uncommitted (store-buffer forwarding).  ``before``: stores
+    that may commit only after the read has performed.
+    """
+
+    after: tuple[Operation, ...] = ()
+    forward: Operation | None = None
+    before: tuple[Operation, ...] = ()
+
+
+@dataclass(frozen=True)
+class StoreOrder:
+    """The outcome of :func:`search_store_order`.
+
+    ``order`` is the first admitting store order (``None`` when none
+    admits); ``slots[proc][i]`` is the number of stores committed when
+    ``proc``'s ``i``-th pure read performs.  ``explored`` counts search
+    nodes.
+    """
+
+    order: tuple[Operation, ...] | None
+    slots: dict[Any, tuple[int, ...]]
+    explored: int
+
+
+def search_store_order(
+    history: SystemHistory,
+    forced: Relation[Operation],
+    rule: Callable[[Operation], ReadRule],
+) -> StoreOrder:
+    """The first total store order, extending ``forced``, that places every read.
+
+    The order grows one store at a time.  At every node each processor
+    performs its pending pure reads, in program order, at the current
+    slot while they can go there — the read's ``after`` stores have
+    committed and the value it sees (its ``forward`` store's while that
+    is uncommitted, else memory's) is the one it returned.  Performing a
+    read as early as possible never hurts: every constraint it takes
+    part in is a lower bound on later reads and an upper bound on its
+    ``before`` stores.  A store commits only when its ``forced``
+    predecessors have committed and every read it must follow has
+    performed.  Stores are tried in ascending ``forced`` universe order,
+    the order of ``Relation.all_topological_sorts``, so the result is
+    the first admitting linear extension in that enumeration; a failure
+    memo on (committed stores, memory, read pointers) cuts repeated
+    states.  ``forced`` must be acyclic.
+    """
+    stores = forced.items
+    n = len(stores)
+    sidx = {w.uid: i for i, w in enumerate(stores)}
+    pred = forced.pred_masks(stores)
+    locs = {loc: i for i, loc in enumerate(history.locations)}
+    store_loc = [locs[w.location] for w in stores]
+    store_val = [w.value_written for w in stores]
+    procs = history.procs
+    # Per processor, its pure reads as (loc, value, after, forward bit,
+    # forwarded value); per store, how many of each processor's reads
+    # must have performed before it commits.
+    reads: list[list[tuple[int, Any, int, int, Any]]] = []
+    guard: list[dict[int, int]] = [{} for _ in range(n)]
+    for p, proc in enumerate(procs):
+        rows: list[tuple[int, Any, int, int, Any]] = []
+        for r in history.ops_of(proc):
+            if not r.is_pure_read:
+                continue
+            rr = rule(r)
+            after = 0
+            for w in rr.after:
+                after |= 1 << sidx[w.uid]
+            fwd = rr.forward
+            fbit = 1 << sidx[fwd.uid] if fwd is not None else 0
+            fval = fwd.value_written if fwd is not None else None
+            rows.append((locs[r.location], r.value_read, after, fbit, fval))
+            for w in rr.before:
+                guard[sidx[w.uid]][p] = len(rows)  # rows only grow: the max
+        reads.append(rows)
+    gate = [tuple(g.items()) for g in guard]
+    nreads = [len(rows) for rows in reads]
+    nprocs = len(procs)
+    full = (1 << n) - 1
+    slots = [[0] * k for k in nreads]
+    order: list[int] = []
+    failed: set[tuple[int, tuple, tuple[int, ...]]] = set()
+    explored = 0
+
+    def dfs(mask: int, mem: tuple, ptrs: tuple[int, ...]) -> bool:
+        nonlocal explored
+        explored += 1
+        depth = len(order)
+        moved = list(ptrs)
+        for p in range(nprocs):
+            rows = reads[p]
+            i = moved[p]
+            while i < nreads[p]:
+                loc, want, after, fbit, fval = rows[i]
+                if after & ~mask:
+                    break
+                seen = fval if fbit and not mask & fbit else mem[loc]
+                if seen != want:
+                    break
+                slots[p][i] = depth
+                i += 1
+            moved[p] = i
+        if mask == full:
+            return moved == nreads
+        now = tuple(moved)
+        key = (mask, mem, now)
+        if key in failed:
+            return False
+        for s in range(n):
+            bit = 1 << s
+            if mask & bit or pred[s] & ~mask:
+                continue
+            if any(now[p] < k for p, k in gate[s]):
+                continue
+            loc = store_loc[s]
+            order.append(s)
+            if dfs(mask | bit, mem[:loc] + (store_val[s],) + mem[loc + 1:], now):
+                return True
+            order.pop()
+        failed.add(key)
+        return False
+
+    if dfs(0, (INITIAL_VALUE,) * len(locs), (0,) * nprocs):
+        return StoreOrder(
+            tuple(stores[s] for s in order),
+            {proc: tuple(slots[p]) for p, proc in enumerate(procs)},
+            explored,
+        )
+    return StoreOrder(None, {}, explored)
 
 
 def forced_block_orders(

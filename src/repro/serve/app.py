@@ -41,7 +41,7 @@ import threading
 from typing import Any
 
 from repro.checking.models import model_names
-from repro.core.errors import EngineError
+from repro.core.errors import CheckerError, EngineError
 from repro.serve.http import HttpRequest, HttpServer
 from repro.serve.service import CheckService, ServeConfig, ServeError
 
@@ -91,6 +91,10 @@ class ServeApp:
             return 404, {"error": f"no route for {method} {request.path}"}
         except ServeError as exc:
             return 400, {"error": str(exc)}
+        except CheckerError as exc:
+            # A model's checker cannot decide this input (for example
+            # TSO-axiomatic on an ambiguous reads-from map).
+            return 422, {"error": str(exc)}
         except EngineError as exc:
             # Submission refused: the service is draining.
             return 503, {"error": str(exc)}
@@ -155,6 +159,9 @@ class ServeApp:
     def _result(self, key: str) -> tuple[int, dict]:
         response = self.service.cached_response(key)
         if response is None:
+            failure = self.service.check_failure(key)
+            if failure is not None:
+                return 422, {"key": key, "error": failure}
             return 404, {"error": f"no completed result for key {key!r}"}
         return 200, response
 

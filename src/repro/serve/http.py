@@ -35,6 +35,7 @@ STATUS_PHRASES = {
     405: "Method Not Allowed",
     411: "Length Required",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

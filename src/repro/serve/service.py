@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.checking.models import MODELS, PAPER_MODELS, model_names
-from repro.core.errors import EngineError, ReproError
+from repro.core.errors import CheckerError, EngineError, ReproError
 from repro.core.history import SystemHistory
 from repro.core.serialization import (
     check_result_to_dict,
@@ -274,6 +274,9 @@ class CheckService:
         )
         self._thread_state = threading.local()
         self._results: OrderedDict[str, dict] = OrderedDict()
+        # Keys whose check a model's checker refused (CheckerError), with
+        # its message: answered to /result polls, never served as a hit.
+        self._failures: OrderedDict[str, str] = OrderedDict()
         self._results_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -339,12 +342,16 @@ class CheckService:
             for name in models:
                 model = MODELS[name]
                 t0 = time.perf_counter()
-                if model.spec is not None:
-                    result = check_with_spec(
-                        model.spec, history, prepass=self.config.prepass
-                    )
-                else:
-                    result = model.check(history)
+                try:
+                    if model.spec is not None:
+                        result = check_with_spec(
+                            model.spec, history, prepass=self.config.prepass
+                        )
+                    else:
+                        result = model.check(history)
+                except CheckerError as exc:
+                    self._remember_failure(key, str(exc))
+                    raise
                 seconds = time.perf_counter() - t0
                 results[name] = check_result_to_dict(result)
                 verdicts[name] = result.allowed
@@ -391,7 +398,19 @@ class CheckService:
             while len(self._results) > self.config.result_cache:
                 self._results.popitem(last=False)
 
+    def _remember_failure(self, key: str, message: str) -> None:
+        with self._results_lock:
+            self._failures[key] = message
+            self._failures.move_to_end(key)
+            while len(self._failures) > self.config.result_cache:
+                self._failures.popitem(last=False)
+
     # -- lookups -----------------------------------------------------------------
+
+    def check_failure(self, key: str) -> str | None:
+        """The checker's refusal message if ``key``'s last check raised one."""
+        with self._results_lock:
+            return self._failures.get(key)
 
     def cached_response(self, key: str) -> dict | None:
         """The response for ``key`` from memory or the store, if known."""
@@ -437,6 +456,8 @@ class CheckService:
         cached = self.cached_response(key)
         if cached is not None:
             return key, cached
+        with self._results_lock:
+            self._failures.pop(key, None)  # a refusal is retried, not cached
         return key, self._submit(self._run_check, key, history, models)
 
     def submit_sweep(self, params: dict) -> Job:

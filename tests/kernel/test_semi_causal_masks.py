@@ -82,3 +82,34 @@ def test_ordering_masks_is_none_without_coherence():
     cc = compile_constraints(TSO_SPEC, history)
     plane = cc.plane(unambiguous_reads_from(history), True)
     assert cc.ordering_masks(plane, None) is None
+
+
+@pytest.mark.parametrize("prepass", [True, False])
+def test_ppo_is_built_once_per_history(monkeypatch, prepass):
+    """PC's semi-causal parts and the pre-pass share the plane's ppo table.
+
+    ppo does not read the attribution, so a history with ambiguous
+    reads-from (enumerated attributions) reuses the one table too.
+    """
+    from repro.kernel.search import check_with_spec
+    from repro.litmus import format_history
+    from repro.orders import program_order
+
+    builds = []
+    original = program_order.ppo_base_pairs
+
+    def counting(history):
+        builds.append(history)
+        return original(history)
+
+    monkeypatch.setattr(program_order, "ppo_base_pairs", counting)
+    histories = CORPORA["catalog"] + CORPORA["3x4"][:10]
+    ambiguous = 0
+    for history in histories:
+        # A fresh object: the plane cache is keyed by identity.
+        fresh = parse_history(format_history(history))
+        ambiguous += unambiguous_reads_from(fresh) is None
+        builds.clear()
+        check_with_spec(PC_SPEC, fresh, prepass=prepass)
+        assert len(builds) == 1, (str(fresh), len(builds))
+    assert ambiguous, "the corpus must include enumerated attributions"

@@ -242,3 +242,40 @@ class TestGracefulShutdown:
 
         with _pytest.raises(EngineError):
             service.submit_check("fig1-sb", "SC")
+
+
+class TestCheckerRefusal:
+    """A checker that cannot decide the input answers 422, not 500."""
+
+    # Two writes of 1 to x: TSO-axiomatic needs an unambiguous reads-from.
+    AMBIGUOUS = "p: w(x)1 | q: w(x)1 r(x)1"
+    MESSAGE = "TSO-axiomatic: requires an unambiguous reads-from map"
+
+    def test_sync_check_is_422_with_the_message_and_not_cached(self, server):
+        request = {"history": self.AMBIGUOUS, "models": "all"}
+        for _ in range(2):  # the second answer is not a cache hit
+            status, body = _request(server.port, "POST", "/check", request)
+            assert status == 422, body
+            assert body["error"] == self.MESSAGE
+        status, body = _request(
+            server.port, "POST", "/check",
+            {"history": self.AMBIGUOUS, "models": "TSO"},
+        )
+        assert status == 200 and body["models"] == {"TSO": True}
+
+    def test_async_poll_is_422_with_the_message(self, server):
+        status, queued = _request(
+            server.port, "POST", "/check",
+            {"history": self.AMBIGUOUS, "models": "TSO-axiomatic", "async": True},
+        )
+        assert status == 202
+        key = queued["key"]
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            status, body = _request(server.port, "GET", f"/result/{key}")
+            if status != 404:
+                assert status == 422, body
+                assert body == {"key": key, "error": self.MESSAGE}
+                return
+            time.sleep(0.05)
+        pytest.fail("async check never resolved")
